@@ -7,13 +7,12 @@ declared under the ``[fast]`` extra:
 * the calibration kernels (``repro.calibration``) use it for the
   work-rate micro-benchmarks;
 * the ``analytic-vec`` backend (``repro.core.model_vec``) uses it for
-  struct-of-arrays batch evaluation, and degrades gracefully without it -
-  a pure-stdlib vector path produces identical numbers (one warning is
-  logged, see ``repro.core.model_vec.warn_on_fallback``), just without
-  the array-backend speed.
+  struct-of-arrays batch evaluation; without it, ``analytic-vec`` prices
+  each point on the scalar fast path - the same numbers as
+  ``analytic-fast``, at its speed.
 
 Nothing in the prediction stack imports numpy unconditionally, which is
-pinned by ``tests/test_conformance.py``'s stdlib-fallback conformance
+pinned by ``tests/test_conformance.py``'s without-numpy conformance
 test.
 """
 

@@ -20,8 +20,8 @@ that comparison (and any future engine) interchangeable:
       engine (the default everywhere);
     * ``"analytic-exact"`` - the reference full-grid recurrence;
     * ``"analytic-vec"`` - the same fast-path equations evaluated as
-      struct-of-arrays batches (numpy when importable, a stdlib vector
-      fallback otherwise) through the batch protocol below;
+      struct-of-arrays numpy batches (per point on the scalar fast path
+      without numpy) through the batch protocol below;
     * ``"simulator"`` - the discrete-event simulator, using the
       diagonal-aggregated fast path on noise-free homogeneous
       configurations and the per-rank event engine otherwise.
@@ -77,7 +77,7 @@ from repro.backends.simulator import (
     clear_simulation_cache,
     simulation_cache_info,
 )
-from repro.backends.vectorized import VectorizedAnalyticBackend, clear_vectorized_cache
+from repro.backends.vectorized import VectorizedAnalyticBackend
 
 __all__ = [
     "AnalyticBackend",
@@ -91,7 +91,6 @@ __all__ = [
     "as_request",
     "available_backends",
     "clear_simulation_cache",
-    "clear_vectorized_cache",
     "get_backend",
     "predict_many",
     "predict_one",

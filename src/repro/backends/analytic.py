@@ -22,7 +22,7 @@ simulator executes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.apps.base import WavefrontSpec
 from repro.backends.base import BackendResult
@@ -31,7 +31,28 @@ from repro.core.loggp import Platform
 from repro.core.model import FILL_METHODS
 from repro.core.predictor import Prediction, predict
 
-__all__ = ["AnalyticBackend"]
+__all__ = ["AnalyticBackend", "analytic_phases"]
+
+
+def analytic_phases(
+    pipeline_fill: float, stack: float, nonwavefront: float, rework: float
+) -> Tuple[Tuple[str, float], ...]:
+    """The analytic backends' named phase breakdown of one iteration.
+
+    ``rework`` (the expected-rework correction of fault-model platforms) is
+    appended only when nonzero, so fault-free results keep three phases.
+
+    >>> [name for name, _time in analytic_phases(3.0, 2.0, 1.0, 0.0)]
+    ['pipeline_fill', 'stack', 'nonwavefront']
+    """
+    phases = (
+        ("pipeline_fill", pipeline_fill),
+        ("stack", stack),
+        ("nonwavefront", nonwavefront),
+    )
+    if rework != 0.0:  # repro: noqa[RPR004] fault-free points carry exactly 0.0 and keep the three-phase breakdown
+        phases = phases + (("rework", rework),)
+    return phases
 
 
 @dataclass(frozen=True)
@@ -76,13 +97,6 @@ class AnalyticBackend:
 
     def _wrap(self, prediction: Prediction) -> BackendResult:
         iteration = prediction.iteration
-        phases = (
-            ("pipeline_fill", iteration.pipeline_fill_time),
-            ("stack", iteration.nsweeps * iteration.stack.total),
-            ("nonwavefront", iteration.tnonwavefront),
-        )
-        if iteration.trework != 0.0:  # repro: noqa[RPR004] fault-free predictions carry exactly 0.0 and keep the three-phase breakdown
-            phases = phases + (("rework", iteration.trework),)
         return BackendResult(
             backend=self.name,
             spec=prediction.spec,
@@ -92,6 +106,11 @@ class AnalyticBackend:
             time_per_iteration_us=iteration.time_per_iteration,
             computation_per_iteration_us=iteration.computation_per_iteration,
             pipeline_fill_per_iteration_us=iteration.pipeline_fill_time,
-            phases=phases,
+            phases=analytic_phases(
+                iteration.pipeline_fill_time,
+                iteration.nsweeps * iteration.stack.total,
+                iteration.tnonwavefront,
+                iteration.trework,
+            ),
             prediction=prediction,
         )

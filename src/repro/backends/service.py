@@ -76,12 +76,13 @@ def _predict_batch(backend, resolved) -> List[BackendResult]:
     Mirrors :func:`repro.util.sweep.unique_map`'s deduplication: repeated
     configurations are evaluated once and the batch result is expanded back
     to request order.  Unhashable configurations degrade to the undeduplicated
-    full list, exactly like ``unique_map``.
+    full list, exactly like ``unique_map``.  Either way a batch result of the
+    wrong length is an error.
     """
+    seen: dict = {}
+    positions = []
+    distinct = []
     try:
-        seen: dict = {}
-        positions = []
-        distinct = []
         for config in resolved:
             # setdefault keeps this to one hash per configuration - config
             # hashing is a measurable cost at design-matrix scale.
@@ -90,7 +91,7 @@ def _predict_batch(backend, resolved) -> List[BackendResult]:
                 distinct.append(config)
             positions.append(index)
     except TypeError:
-        return list(backend.evaluate_batch(resolved))
+        distinct, positions = resolved, list(range(len(resolved)))
     results = list(backend.evaluate_batch(distinct))
     if len(results) != len(distinct):
         raise ValueError(

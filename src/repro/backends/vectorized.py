@@ -4,12 +4,11 @@
 (``evaluate_batch``) on top of :func:`repro.core.model_vec
 .batch_point_values`: the service layer (:func:`repro.backends.service
 .predict_many`) hands it whole lists of resolved configurations, which it
-prices as struct-of-arrays operations - numpy when importable, a pure-stdlib
-vector fallback otherwise (a one-line warning notes the fallback, see the
-README's optional-numpy policy).  Results match ``analytic-fast`` within
-1e-9 relative (bit-identical on homogeneous platforms), so it is a drop-in
-replacement wherever throughput matters: exhaustive optimisation, Pareto
-fronts, campaigns.
+prices as struct-of-arrays numpy operations.  Without numpy it prices each
+point on the scalar fast path (see the README's optional-numpy policy).
+Results match ``analytic-fast`` within 1e-9 relative (bit-identical on
+homogeneous platforms), so it is a drop-in replacement wherever throughput
+matters: exhaustive optimisation, Pareto fronts, campaigns.
 
 Single-point ``evaluate`` calls also work (they are one-element batches), so
 the backend satisfies :class:`~repro.backends.base.PredictionBackend` and
@@ -20,38 +19,19 @@ every existing consumer - CLI, validation, studies - accepts
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.apps.base import WavefrontSpec
+from repro.backends.analytic import analytic_phases
 from repro.backends.base import BackendResult
 from repro.core.decomposition import CoreMapping, ProcessorGrid
 from repro.core.loggp import Platform
-from repro.core.model_vec import (
-    PointValues,
-    batch_point_values,
-    have_numpy,
-    reset_fallback_warning,
-    warn_on_fallback,
-)
+from repro.core.model_vec import PointValues, batch_point_values
 from repro.core.multicore import resolve_core_mapping
-from repro.util.caching import register_cache_clearer
 
-__all__ = ["VectorizedAnalyticBackend", "clear_vectorized_cache"]
+__all__ = ["VectorizedAnalyticBackend"]
 
 _Config = Tuple[WavefrontSpec, Platform, ProcessorGrid, CoreMapping]
-
-#: Per-configuration result memo, the vec counterpart of
-#: :mod:`repro.core.predictor`'s prediction memo (shared across instances;
-#: the backend is a stateless frozen dataclass).
-_BATCH_MEMO: Dict[_Config, PointValues] = {}
-_BATCH_MEMO_LIMIT = 65536
-
-
-@register_cache_clearer
-def clear_vectorized_cache() -> None:
-    """Drop the batch memo (hooked into ``clear_prediction_cache``)."""
-    _BATCH_MEMO.clear()
-    reset_fallback_warning()
 
 
 @dataclass(frozen=True)
@@ -88,58 +68,26 @@ class VectorizedAnalyticBackend:
         """Evaluate resolved configurations in one pass, in input order.
 
         This is the batch-protocol entry point :func:`repro.backends
-        .service.predict_many` discovers; configurations already priced in
-        this process are served from the memo and only the remainder hits
-        the vector evaluator.
+        .service.predict_many` discovers (it deduplicates the batch first).
         """
         resolved = list(resolved)
-        if resolved and not have_numpy():
-            warn_on_fallback()
-        cached: Dict[int, PointValues] = {}
-        pending: List[int] = []
-        memo_get = _BATCH_MEMO.get
-        for index, config in enumerate(resolved):
-            try:
-                point = memo_get(config)
-            except TypeError:  # unhashable spec/platform subclasses
-                point = None
-            if point is None:
-                pending.append(index)
-            else:
-                cached[index] = point
-        if pending:
-            fresh = batch_point_values([resolved[i] for i in pending])
-            for index, point in zip(pending, fresh):
-                cached[index] = point
-                if len(_BATCH_MEMO) < _BATCH_MEMO_LIMIT:
-                    try:
-                        _BATCH_MEMO[resolved[index]] = point
-                    except TypeError:
-                        pass
-        return [
-            _wrap(self.name, resolved[index], cached[index])
-            for index in range(len(resolved))
-        ]
+        points = batch_point_values(resolved)
+        name = self.name
+        return [_wrap(name, config, point) for config, point in zip(resolved, points)]
 
 
 def _wrap(name: str, config: _Config, point: PointValues) -> BackendResult:
     """Shape one point's values like ``AnalyticBackend._wrap`` does."""
     spec, platform, grid, mapping = config
-    phases = (
-        ("pipeline_fill", point.pipeline_fill),
-        ("stack", point.stack_phase),
-        ("nonwavefront", point.nonwavefront_phase),
-    )
-    if point.rework != 0.0:  # repro: noqa[RPR004] fault-free points carry exactly 0.0 and keep the three-phase breakdown
-        phases = phases + (("rework", point.rework),)
+    time_us, computation_us, fill, stack, nonwavefront, rework = point
     return BackendResult(
         backend=name,
         spec=spec,
         platform=platform,
         grid=grid,
         core_mapping=mapping,
-        time_per_iteration_us=point.time_per_iteration,
-        computation_per_iteration_us=point.computation_per_iteration,
-        pipeline_fill_per_iteration_us=point.pipeline_fill,
-        phases=phases,
+        time_per_iteration_us=time_us,
+        computation_per_iteration_us=computation_us,
+        pipeline_fill_per_iteration_us=fill,
+        phases=analytic_phases(fill, stack, nonwavefront, rework),
     )

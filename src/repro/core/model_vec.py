@@ -13,12 +13,10 @@ calls.
 Array backend
 -------------
 
-Operations run on numpy arrays when numpy is importable and on a tiny
-pure-stdlib vector type (:class:`_PyVector`, plain Python lists with
-operator overloading) otherwise.  Both paths execute the same evaluator
-code; the stdlib path is correct but much slower, so the first batch
-evaluated on it logs a one-line warning (see :func:`warn_on_fallback` and
-the optional-numpy policy in the README).
+Operations run on numpy arrays.  numpy is optional at install time: without
+it, :func:`batch_point_values` prices each point on the scalar fast path
+(:func:`repro.core.model.iteration_prediction` with ``method="fast"``) -
+the same numbers as ``analytic-fast``, at its speed.
 
 What vectorizes, what falls back
 --------------------------------
@@ -64,12 +62,10 @@ True
 
 from __future__ import annotations
 
-import logging
-import math
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.apps.base import AllReduceNonWavefront, NoNonWavefront, WavefrontSpec
+from repro.core.comm import _level_params
 from repro.core.decomposition import CoreMapping, ProcessorGrid
 from repro.core.hetero import max_multiplier
 from repro.core.loggp import OffNodeParams, OnChipParams, Platform
@@ -91,172 +87,10 @@ try:
 except ImportError:  # pragma: no cover - the container always has numpy
     _np = None
 
-__all__ = [
-    "PointValues",
-    "batch_point_values",
-    "have_numpy",
-    "warn_on_fallback",
-    "reset_fallback_warning",
-]
-
-_LOGGER = logging.getLogger(__name__)
+__all__ = ["PointValues", "batch_point_values"]
 
 #: One resolved configuration: what ``PredictionRequest.resolve()`` returns.
 _Config = Tuple[WavefrontSpec, Platform, ProcessorGrid, CoreMapping]
-
-
-def have_numpy() -> bool:
-    """True when the numpy array backend is active (vs the stdlib fallback)."""
-    return _np is not None
-
-
-_fallback_warned = False
-
-
-def warn_on_fallback() -> None:
-    """Log once per process when batches run on the pure-stdlib path.
-
-    The stdlib fallback produces identical results but is much slower, so
-    benchmark numbers taken on it are not comparable with numpy runs; the
-    warning keeps that visible (the ISSUE's "no silent apples-to-oranges"
-    policy, see the README's optional-numpy section).
-    """
-    global _fallback_warned
-    if _np is None and not _fallback_warned:
-        _fallback_warned = True
-        _LOGGER.warning(
-            "numpy is not importable; analytic-vec is evaluating batches on "
-            "the pure-stdlib fallback path (identical results, much slower)"
-        )
-
-
-def reset_fallback_warning() -> None:
-    """Re-arm :func:`warn_on_fallback` (used by the cache-clearing contract)."""
-    global _fallback_warned
-    _fallback_warned = False
-
-
-# ---------------------------------------------------------------------------
-# Array backend: numpy when importable, a list-backed vector otherwise
-# ---------------------------------------------------------------------------
-
-class _PyVector:
-    """Pure-stdlib float vector with elementwise operator overloading.
-
-    Only what the evaluator needs: ``+ - * /`` against scalars and vectors
-    (in the same per-element operation order as numpy, so both paths give
-    bit-identical results) and comparisons returning plain bool lists.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values) -> None:
-        self.values = list(values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def _other(self, other) -> list:
-        if isinstance(other, _PyVector):
-            return other.values
-        return [other] * len(self.values)
-
-    def __add__(self, other) -> "_PyVector":
-        return _PyVector([a + b for a, b in zip(self.values, self._other(other))])
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "_PyVector":
-        return _PyVector([a - b for a, b in zip(self.values, self._other(other))])
-
-    def __rsub__(self, other) -> "_PyVector":
-        return _PyVector([b - a for a, b in zip(self.values, self._other(other))])
-
-    def __mul__(self, other) -> "_PyVector":
-        return _PyVector([a * b for a, b in zip(self.values, self._other(other))])
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "_PyVector":
-        return _PyVector([a / b for a, b in zip(self.values, self._other(other))])
-
-    def __rtruediv__(self, other) -> "_PyVector":
-        return _PyVector([b / a for a, b in zip(self.values, self._other(other))])
-
-    def __le__(self, other) -> list:
-        return [a <= b for a, b in zip(self.values, self._other(other))]
-
-    def __lt__(self, other) -> list:
-        return [a < b for a, b in zip(self.values, self._other(other))]
-
-    def __ge__(self, other) -> list:
-        return [a >= b for a, b in zip(self.values, self._other(other))]
-
-    def __gt__(self, other) -> list:
-        return [a > b for a, b in zip(self.values, self._other(other))]
-
-
-def _vector(values):
-    """A float vector from a list of floats, on the active array backend."""
-    if _np is not None:
-        return _np.asarray(values, dtype=float)
-    return _PyVector(values)
-
-
-def _where(mask, a, b):
-    """Elementwise ``a if mask else b`` with scalar broadcasting."""
-    if _np is not None:
-        return _np.where(_np.asarray(mask), a, b)
-    size = len(mask)
-    left = a.values if isinstance(a, _PyVector) else [a] * size
-    right = b.values if isinstance(b, _PyVector) else [b] * size
-    return _PyVector(
-        [x if flag else y for flag, x, y in zip(mask, left, right)]
-    )
-
-
-def _maximum(a, b):
-    """Elementwise maximum; ``a if a >= b else b``, the recurrence's tie rule."""
-    if _np is not None:
-        return _np.maximum(a, b)
-    if not isinstance(a, _PyVector):
-        a, b = b, a
-    right = b.values if isinstance(b, _PyVector) else [b] * len(a.values)
-    return _PyVector([x if x >= y else y for x, y in zip(a.values, right)])
-
-
-def _minimum(a, b):
-    """Elementwise minimum (for ``min(cores_per_node, P)`` in equation (9))."""
-    if _np is not None:
-        return _np.minimum(a, b)
-    if not isinstance(a, _PyVector):
-        a, b = b, a
-    right = b.values if isinstance(b, _PyVector) else [b] * len(a.values)
-    return _PyVector([x if x <= y else y for x, y in zip(a.values, right)])
-
-
-def _log2(a):
-    if _np is not None:
-        return _np.log2(a)
-    return _PyVector([math.log2(x) for x in a.values])
-
-
-def _absolute(a):
-    if _np is not None:
-        return _np.abs(a)
-    return _PyVector([abs(x) for x in a.values])
-
-
-def _tolist(a) -> List[float]:
-    if _np is not None:
-        return [float(x) for x in a.tolist()]
-    return list(a.values)
-
-
-def _masklist(mask) -> List[bool]:
-    if isinstance(mask, list):
-        return mask
-    return [bool(flag) for flag in mask.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +101,12 @@ def _masklist(mask) -> List[bool]:
 def _v_total_off(params: OffNodeParams, size):
     base = params.overhead + size * params.gap_per_byte + params.latency + params.overhead
     eager = size <= float(params.eager_limit)
-    return _where(eager, base, base + params.handshake_time + params.overhead)
+    return _np.where(eager, base, base + params.handshake_time + params.overhead)
 
 
 def _v_send_off(params: OffNodeParams, size):
     eager = size <= float(params.eager_limit)
-    return _where(eager, params.overhead, params.overhead + params.handshake_time)
+    return _np.where(eager, params.overhead, params.overhead + params.handshake_time)
 
 
 def _v_receive_off(params: OffNodeParams, size):
@@ -284,46 +118,33 @@ def _v_receive_off(params: OffNodeParams, size):
         + params.latency
         + params.overhead
     )
-    return _where(eager, params.overhead, rendezvous)
+    return _np.where(eager, params.overhead, rendezvous)
 
 
 def _v_total_chip(params: OnChipParams, size):
     eager = size <= float(params.eager_limit)
     small = params.copy_overhead + size * params.gap_per_byte_copy + params.copy_overhead
     large = params.overhead + size * params.gap_per_byte_dma + params.copy_overhead
-    return _where(eager, small, large)
+    return _np.where(eager, small, large)
 
 
 def _v_send_chip(params: OnChipParams, size):
     eager = size <= float(params.eager_limit)
-    return _where(eager, params.copy_overhead, params.overhead)
+    return _np.where(eager, params.copy_overhead, params.overhead)
 
 
 def _v_receive_chip(params: OnChipParams, size):
     eager = size <= float(params.eager_limit)
-    return _where(
+    return _np.where(
         eager,
         params.copy_overhead,
         size * params.gap_per_byte_dma + params.copy_overhead,
     )
 
 
-def _hop_params(platform: Platform, level: str):
-    """The parameter bundle and sub-model of one hop level (comm._level_params)."""
-    if level == "machine":
-        return platform.off_node, None
-    if level == "node" and platform.intra_node is not None:
-        return platform.intra_node, None
-    if platform.on_chip is None:
-        raise ValueError(
-            f"platform {platform.name!r} does not define on-chip communication parameters"
-        )
-    return None, platform.on_chip
-
-
 def _v_cost(platform: Platform, level: str, size, kind: str):
     """One vectorized Table 1 cost (``kind`` in total/send/receive) at ``level``."""
-    off_params, chip_params = _hop_params(platform, level)
+    off_params, chip_params = _level_params(platform, False, level)
     if off_params is not None:
         if kind == "total":
             return _v_total_off(off_params, size)
@@ -382,56 +203,31 @@ def _v_fill_table(
 def _v_startp_homogeneous(n_list, m_list, w, wpre, entry):
     """Closed-form ``StartP`` corners, vectorized over grid shapes."""
     comm_e, recv_n, send_e, comm_s = entry
-    n_vec = _vector([float(n) for n in n_list])
-    m_vec = _vector([float(m) for m in m_list])
-    send_e_eff = _where([n > 1 for n in n_list], send_e, 0.0)
+    n_vec = _np.asarray(n_list, dtype=float)
+    m_vec = _np.asarray(m_list, dtype=float)
+    send_e_eff = _np.where(n_vec > 1.0, send_e, 0.0)
     south = w + send_e_eff + comm_s
     tdiag = wpre + (m_vec - 1.0) * south
     tfull_single_column = wpre + (n_vec - 1.0) * (w + comm_e)
     tfull_general = tdiag + (n_vec - 1.0) * (w + comm_e + recv_n)
-    tfull = _where([m == 1 for m in m_list], tfull_single_column, tfull_general)
+    tfull = _np.where(m_vec > 1.0, tfull_general, tfull_single_column)
     return tdiag, tfull
-
-
-def _v_startp_exact(n: int, m: int, w, wpre, table, cx: int, cy: int):
-    """The full-grid recurrence with vector-valued per-tile costs.
-
-    ``n``/``m`` are scalars (the batch is sub-grouped by grid shape); every
-    grid step performs one elementwise operation over the batch.
-    """
-    rows = [[table[i % cx][jm] for i in range(1, n + 1)] for jm in range(cy)]
-
-    prev: list = [None] * n
-    prev[0] = wpre
-    row1 = rows[1 % cy]
-    for i in range(2, n + 1):
-        prev[i - 1] = prev[i - 2] + w + row1[i - 1][0]
-
-    for j in range(2, m + 1):
-        row = rows[j % cy]
-        cur: list = [None] * n
-        send_e_first = row[0][2] if n > 1 else 0.0
-        cur[0] = prev[0] + w + send_e_first + row[0][3]
-        for i in range(2, n + 1):
-            comm_e, recv_n, send_e, comm_s = row[i - 1]
-            west = cur[i - 2] + w + comm_e + recv_n
-            north = prev[i - 1] + w + send_e + comm_s
-            cur[i - 1] = _maximum(west, north)
-        prev = cur
-
-    return prev[0], prev[n - 1]
 
 
 def _v_startp_cells(
     big_n: int, big_m: int, w, wpre, table, cx: int, cy: int, cells
 ):
-    """One (big_n, big_m) walk harvesting ``StartP(i, j)`` at ``cells``.
+    """The full-grid recurrence, harvesting ``StartP(i, j)`` at ``cells``.
 
-    The recurrence value at ``(i, j)`` depends only on the rectangle below
-    and left of it, so the corner values of every smaller ``(i, j)`` grid
-    can be read off one big walk - provided every requested ``i`` agrees
-    with ``big_n`` on the ``n > 1`` first-column guard (callers check).
-    This cuts the period-folded path's six corner walks down to one.
+    ``big_n``/``big_m`` are scalars (the batch is sub-grouped by grid
+    shape); every grid step performs one elementwise operation over the
+    batch.  Harvesting ``(1, big_m)`` and ``(big_n, big_m)`` gives the
+    exact walk's two fill corners.  The recurrence value at ``(i, j)``
+    depends only on the rectangle below and left of it, so the corner
+    values of every smaller ``(i, j)`` grid can be read off the same walk -
+    provided every requested ``i`` agrees with ``big_n`` on the ``n > 1``
+    first-column guard (callers check).  This cuts the period-folded
+    path's six corner walks down to one.
     """
     wanted_rows: Dict[int, List[int]] = {}
     for i, j in cells:
@@ -456,7 +252,7 @@ def _v_startp_cells(
             comm_e, recv_n, send_e, comm_s = row[i - 1]
             west = cur[i - 2] + w + comm_e + recv_n
             north = prev[i - 1] + w + send_e + comm_s
-            cur[i - 1] = _maximum(west, north)
+            cur[i - 1] = _np.maximum(west, north)
         prev = cur
         for i in wanted_rows.get(j, ()):
             out[(i, j)] = prev[i - 1]
@@ -477,11 +273,11 @@ def _v_startp_diag(n: int, m: int, w, wpre, table, cx: int, cy: int):
 def _v_startp_periodic(n: int, m: int, w, wpre, table, cx: int, cy: int):
     """Period-folded ``StartP`` over a batch; per-point linearity verification.
 
-    Returns ``(tdiag, tfull, ok)`` where ``ok`` flags the points whose
-    linearity checks passed (the rest need the scalar exact walk), or
-    ``None`` when the fold does not apply to the whole sub-group (too small
-    to fold, or folding costs more than the exact walk) - exactly the
-    decisions of :func:`repro.core.model._startp_periodic`.
+    Returns ``(tdiag, tfull, bad)`` where the boolean array ``bad`` flags
+    the points whose linearity checks failed (they need the scalar exact
+    walk), or ``None`` when the fold does not apply to the whole sub-group
+    (too small to fold, or folding costs more than the exact walk) -
+    exactly the decisions of :func:`repro.core.model._startp_periodic`.
     """
     base = _FOLD_BASE_PERIODS
     n0 = n if n <= (base + 2) * cx else base * cx + (n - base * cx) % cx
@@ -494,51 +290,41 @@ def _v_startp_periodic(n: int, m: int, w, wpre, table, cx: int, cy: int):
     if evaluations * (n0 + 2 * cx) * (m0 + 2 * cy) >= n * m:
         return None
 
-    if kx == 0 or n0 > 1:
-        # Every corner value is a cell of one big walk (identical op order),
-        # so harvest all of them from a single pass over the largest grid.
-        cells = [(n0, m0)]
-        if kx:
-            cells += [(n0 + cx, m0), (n0 + 2 * cx, m0)]
-        if ky:
-            cells += [(n0, m0 + cy), (n0, m0 + 2 * cy)]
-        if kx and ky:
-            cells.append((n0 + cx, m0 + cy))
-        big_n = n0 + 2 * cx if kx else n0
-        big_m = m0 + 2 * cy if ky else m0
-        harvested = _v_startp_cells(big_n, big_m, w, wpre, table, cx, cy, cells)
+    # Every corner value is a cell of one big walk (identical op order), so
+    # harvest all of them from a single pass over the largest grid.  When
+    # ``kx > 0``, ``n0 >= base * cx > 1``, so every corner agrees with the
+    # big walk on the first-column ``n > 1`` guard.
+    cells = [(n0, m0)]
+    if kx:
+        cells += [(n0 + cx, m0), (n0 + 2 * cx, m0)]
+    if ky:
+        cells += [(n0, m0 + cy), (n0, m0 + 2 * cy)]
+    if kx and ky:
+        cells.append((n0 + cx, m0 + cy))
+    big_n = n0 + 2 * cx if kx else n0
+    big_m = m0 + 2 * cy if ky else m0
+    harvested = _v_startp_cells(big_n, big_m, w, wpre, table, cx, cy, cells)
 
-        def corner(a: int, b: int):
-            return harvested[(n0 + a * cx, m0 + b * cy)]
-
-    else:
-        # n0 == 1 with kx > 0: corners disagree on the first-column
-        # ``n > 1`` guard, so each needs its own exact walk (rare and tiny).
-        def corner(a: int, b: int):
-            return _v_startp_exact(
-                n0 + a * cx, m0 + b * cy, w, wpre, table, cx, cy
-            )[1]
+    def corner(a: int, b: int):
+        return harvested[(n0 + a * cx, m0 + b * cy)]
 
     f00 = corner(0, 0)
-    tolerance = _FOLD_REL_TOL * _maximum(_absolute(f00), 1.0)
-    ok = [True] * len(_tolist(f00))
+    tolerance = _FOLD_REL_TOL * _np.maximum(_np.abs(f00), 1.0)
+    bad = _np.zeros(len(f00), dtype=bool)
     dx = dy = 0.0
     if kx:
         f10 = corner(1, 0)
         dx = f10 - f00
-        bad = _masklist(_absolute((corner(2, 0) - f10) - dx) > tolerance)
-        ok = [flag and not b for flag, b in zip(ok, bad)]
+        bad |= _np.abs((corner(2, 0) - f10) - dx) > tolerance
     if ky:
         f01 = corner(0, 1)
         dy = f01 - f00
-        bad = _masklist(_absolute((corner(0, 2) - f01) - dy) > tolerance)
-        ok = [flag and not b for flag, b in zip(ok, bad)]
+        bad |= _np.abs((corner(0, 2) - f01) - dy) > tolerance
     if kx and ky:
-        bad = _masklist(_absolute(corner(1, 1) - (f00 + dx + dy)) > tolerance)
-        ok = [flag and not b for flag, b in zip(ok, bad)]
+        bad |= _np.abs(corner(1, 1) - (f00 + dx + dy)) > tolerance
 
     tfull = f00 + kx * dx + ky * dy
-    return _v_startp_diag(n, m, w, wpre, table, cx, cy), tfull, ok
+    return _v_startp_diag(n, m, w, wpre, table, cx, cy), tfull, bad
 
 
 # ---------------------------------------------------------------------------
@@ -547,37 +333,39 @@ def _v_startp_periodic(n: int, m: int, w, wpre, table, cx: int, cy: int):
 
 def _v_allreduce(platform: Platform, cores_list, payload):
     """``MPI_Allreduce`` time over vectors of core counts and payload sizes."""
-    cores_vec = _vector([float(p) for p in cores_list])
-    cores_per_node = _minimum(cores_vec, float(platform.node.cores_per_node))
-    log_p = _log2(cores_vec)
-    log_c = _log2(cores_per_node)
+    cores_vec = _np.asarray(cores_list, dtype=float)
+    cores_per_node = _np.minimum(cores_vec, float(platform.node.cores_per_node))
+    log_p = _np.log2(cores_vec)
+    log_c = _np.log2(cores_per_node)
     off_node_term = (
         (log_p - log_c) * cores_per_node * _v_total_off(platform.off_node, payload)
     )
     if platform.node.cores_per_node > 1:
-        on_chip_term = _where(
-            [p > 1 for p in _tolist(cores_per_node)],
+        on_chip_term = _np.where(
+            cores_per_node > 1.0,
             log_c * cores_per_node * _v_total_chip(platform.on_chip, payload),
             0.0,
         )
         total = off_node_term + on_chip_term
     else:
         total = off_node_term + 0.0
-    return _where([p == 1 for p in cores_list], 0.0, total)
+    return _np.where(cores_vec > 1.0, total, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # Batch evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PointValues:
+class PointValues(NamedTuple):
     """Per-point model outputs needed to build a ``BackendResult``.
 
     ``stack_phase`` is ``nsweeps * Tstack`` and ``nonwavefront_phase`` is
     ``Tnonwavefront`` - the two non-fill entries of the analytic backends'
     phase breakdown.  ``rework`` is the bounded expected-rework correction
-    of fault-model platforms, exactly 0.0 on fault-free ones.
+    of fault-model platforms, exactly 0.0 on fault-free ones.  A named
+    tuple rather than a dataclass: one is built per design point, and a
+    tuple of floats is cheap to build and is not tracked by the cyclic
+    garbage collector.
     """
 
     time_per_iteration: float
@@ -589,7 +377,7 @@ class PointValues:
 
 
 def _scalar_point(config: _Config) -> PointValues:
-    """Per-point fallback through the scalar model (unhashable group keys)."""
+    """Per-point fallback through the scalar model (no numpy, unhashable keys)."""
     spec, platform, grid, mapping = config
     iteration = iteration_prediction(spec, platform, grid, mapping, method="fast")
     return PointValues(
@@ -608,17 +396,28 @@ def batch_point_values(configs: Sequence[_Config]) -> List[PointValues]:
     ``configs`` holds resolved ``(spec, platform, grid, core_mapping)``
     tuples (what :meth:`PredictionRequest.resolve` returns); the result list
     is in input order.  Equivalent to per-point ``method="fast"`` evaluation
-    within 1e-9 relative (bit-identical on homogeneous platforms).
+    within 1e-9 relative (bit-identical on homogeneous platforms).  Without
+    numpy every point goes through that scalar evaluation.
     """
     configs = list(configs)
+    if _np is None:
+        return [_scalar_point(config) for config in configs]
     results: List[PointValues] = [None] * len(configs)  # type: ignore[list-item]
     groups: Dict[Tuple[Platform, CoreMapping], List[int]] = {}
+    # Design matrices list long runs of one platform and mapping object, so
+    # the group key is hashed only when the objects change.
+    key = members = None
     for index, config in enumerate(configs):
         _spec, platform, _grid, mapping = config
-        try:
-            groups.setdefault((platform, mapping), []).append(index)
-        except TypeError:
-            results[index] = _scalar_point(config)
+        if key is None or platform is not key[0] or mapping is not key[1]:
+            key = (platform, mapping)
+            try:
+                members = groups.setdefault(key, [])
+            except TypeError:
+                key = None
+                results[index] = _scalar_point(config)
+                continue
+        members.append(index)
     for (platform, mapping), indices in groups.items():
         group_results = _evaluate_group(
             platform, mapping, [configs[i] for i in indices]
@@ -638,133 +437,115 @@ def _evaluate_group(
     specs = [config[0] for config in configs]
     grids = [config[2] for config in configs]
 
-    # Per-point scalar inputs (cheap: a handful of float ops per point).
-    w_list = []
-    wpre_list = []
-    ew_list = []
-    ns_list = []
-    n_list = []
-    m_list = []
-    for spec, grid in zip(specs, grids):
-        w_list.append(spec.work_per_tile(grid, platform))
-        wpre_list.append(spec.pre_work_per_tile(grid, platform))
-        ew_list.append(spec.message_size_ew(grid))
-        ns_list.append(spec.message_size_ns(grid))
-        n_list.append(grid.n)
-        m_list.append(grid.m)
+    # Per-point inputs.  Spec-level quantities are read once per distinct
+    # spec (id-keyed memoisation is safe because `configs` keeps every spec
+    # alive); the Table 3 per-tile quantities (WavefrontSpec.work_per_tile,
+    # pre_work_per_tile, message_size_ew/ns, tiles_per_stack) then run as
+    # array operations in the scalar methods' operation order.
+    spec_rows: Dict[int, Tuple[float, ...]] = {}
+    rows = []
+    for spec in specs:
+        row = spec_rows.get(id(spec))
+        if row is None:
+            problem = spec.problem
+            row = spec_rows[id(spec)] = (
+                spec.wg_us, spec.wg_pre_us, spec.htile, spec.boundary_bytes_per_cell,
+                problem.nx, problem.ny, problem.nz,
+                spec.ndiag, spec.nfull, spec.nsweeps,
+            )
+        rows.append(row)
+    (
+        wg, wg_pre, htile, bytes_per_cell, nx, ny, nz, ndiag, nfull, nsweeps
+    ) = _np.asarray(rows, dtype=float).reshape(-1, 10).T
+    n_list = [grid.n for grid in grids]
+    m_list = [grid.m for grid in grids]
+    n, m = _np.asarray(n_list), _np.asarray(m_list)
+    sub_x, sub_y = nx / n, ny / m
+    w = wg * htile * sub_x * sub_y * platform.compute_scale
+    wpre = wg_pre * htile * sub_x * sub_y * platform.compute_scale
+    ew = bytes_per_cell * htile * sub_y
+    ns = bytes_per_cell * htile * sub_x
     inflation = platform.noise_inflation()
     if inflation != 1.0:  # repro: noqa[RPR004] exactly 1.0 on homogeneous platforms; preserves bit-for-bit identity
-        w_list = [w * inflation for w in w_list]
-        wpre_list = [wpre * inflation for wpre in wpre_list]
+        w, wpre = w * inflation, wpre * inflation
     dump = _fault_inflation(platform)
     if dump != 1.0:  # repro: noqa[RPR004] exactly 1.0 on fault-free platforms; preserves bit-for-bit identity
-        w_list = [w * dump for w in w_list]
-        wpre_list = [wpre * dump for wpre in wpre_list]
+        w, wpre = w * dump, wpre * dump
 
     multicore = platform.is_multicore and mapping.cores_per_node > 1
     profile = platform.speed_profile
     heterogeneous = profile is not None and not profile.is_trivial
 
     # -- fill times (r2a)-(r3b) ------------------------------------------------------
-    tdiag_list, tfull_list = _fill_corners(
-        platform, mapping, multicore, configs,
-        w_list, wpre_list, ew_list, ns_list, n_list, m_list,
+    tdiag, tfull = _fill_corners(
+        platform, mapping, multicore, configs, w, wpre, ew, ns, n_list, m_list
     )
-    tdiag_work_list = [
-        wpre + (m - 1) * w for wpre, m, w in zip(wpre_list, m_list, w_list)
-    ]
-    tfull_work_list = [
-        wpre + (n + m - 2) * w
-        for wpre, n, m, w in zip(wpre_list, n_list, m_list, w_list)
-    ]
+    tdiag_work = wpre + (m - 1) * w
+    tfull_work = wpre + (n + m - 2) * w
     if heterogeneous:
-        for i, grid in enumerate(grids):
-            extra_diag, extra_full = _fill_heterogeneity_extras(
-                platform, grid, mapping, w_list[i], wpre_list[i]
-            )
-            tdiag_list[i] += extra_diag
-            tfull_list[i] += extra_full
-            tdiag_work_list[i] += extra_diag
-            tfull_work_list[i] += extra_full
+        extras = [
+            _fill_heterogeneity_extras(platform, grid, mapping, w_i, wpre_i)
+            for grid, w_i, wpre_i in zip(grids, w.tolist(), wpre.tolist())
+        ]
+        extra_diag, extra_full = _np.asarray(extras, dtype=float).reshape(-1, 2).T
+        tdiag, tfull = tdiag + extra_diag, tfull + extra_full
+        tdiag_work, tfull_work = tdiag_work + extra_diag, tfull_work + extra_full
 
     # -- stack time (r4) -------------------------------------------------------------
+    # The slowest-node multiplier scales W, Wpre and the non-wavefront work;
+    # on homogeneous points it is exactly 1.0, an exact no-op.
+    slowest = None
+    w_stack, wpre_stack = w, wpre
     if heterogeneous:
-        slowest_list = [max_multiplier(profile, grid, mapping) for grid in grids]
-        w_stack_list = list(w_list)
-        wpre_stack_list = list(wpre_list)
-        for i, slowest in enumerate(slowest_list):
-            if slowest != 1.0:  # repro: noqa[RPR004] trivial profile yields exactly 1.0; skip to keep identity
-                w_stack_list[i] *= slowest
-                wpre_stack_list[i] *= slowest
-    else:
-        slowest_list = None
-        w_stack_list = w_list
-        wpre_stack_list = wpre_list
-    stack_total_list, stack_work_list = _stack_times(
-        platform, mapping, specs, grids,
-        w_stack_list, wpre_stack_list, ew_list, ns_list,
+        slowest = _np.asarray(
+            [max_multiplier(profile, grid, mapping) for grid in grids], dtype=float
+        )
+        w_stack, wpre_stack = w * slowest, wpre * slowest
+    stack_total, stack_work = _stack_times(
+        platform, mapping, nz / htile, w_stack, wpre_stack, ew, ns
     )
 
     # -- non-wavefront term ----------------------------------------------------------
-    nonwf_work_list, nonwf_comm_list = _nonwavefront_components(
-        platform, specs, grids
-    )
+    nonwf_work, nonwf_comm = _nonwavefront_components(platform, specs, grids)
+    if inflation != 1.0:  # repro: noqa[RPR004] exactly 1.0 on homogeneous platforms; preserves bit-for-bit identity
+        nonwf_work = nonwf_work * inflation
+    if dump != 1.0:  # repro: noqa[RPR004] exactly 1.0 on fault-free platforms; preserves bit-for-bit identity
+        nonwf_work = nonwf_work * dump
+    if slowest is not None:
+        nonwf_work = nonwf_work * slowest
+    tnonwavefront = nonwf_work + nonwf_comm
 
     # -- assembly (r5) ---------------------------------------------------------------
-    # The schedule counters walk the phase tuple on each access; id-keyed
-    # memoisation is safe here because `configs` keeps every spec alive.
-    schedule_counts: Dict[int, Tuple[int, int, int]] = {}
+    pipeline_fill = ndiag * tdiag + nfull * tfull
+    stack_phase = nsweeps * stack_total
+    trework = _np.zeros(len(specs))
     faults = platform.faults
-    fails = faults is not None and faults.fails
-    points = []
-    for i, spec in enumerate(specs):
-        nonwf_work = nonwf_work_list[i]
-        if inflation != 1.0:  # repro: noqa[RPR004] exactly 1.0 on homogeneous platforms; preserves bit-for-bit identity
-            nonwf_work *= inflation
-        if dump != 1.0:  # repro: noqa[RPR004] exactly 1.0 on fault-free platforms; preserves bit-for-bit identity
-            nonwf_work *= dump
-        if heterogeneous and slowest_list[i] != 1.0:  # repro: noqa[RPR004] trivial profile yields exactly 1.0; skip to keep identity
-            nonwf_work *= slowest_list[i]
-        tnonwavefront = nonwf_work + nonwf_comm_list[i]
-        counts = schedule_counts.get(id(spec))
-        if counts is None:
-            counts = (spec.ndiag, spec.nfull, spec.nsweeps)
-            schedule_counts[id(spec)] = counts
-        ndiag, nfull, nsweeps = counts
-        trework = 0.0
-        if fails:
-            # Same operation order as iteration_prediction's base_time so
-            # the guard and correction agree with the scalar model.
-            base_time = (
-                ndiag * tdiag_list[i]
-                + nfull * tfull_list[i]
-                + nsweeps * stack_total_list[i]
-                + nonwf_work
-                + nonwf_comm_list[i]
-            )
-            rework_guard(faults, base_time)
-            trework = expected_rework_us(faults, base_time)
-        pipeline_fill = ndiag * tdiag_list[i] + nfull * tfull_list[i]
-        stack_phase = nsweeps * stack_total_list[i]
-        points.append(
-            PointValues(
-                time_per_iteration=(
-                    pipeline_fill + stack_phase + tnonwavefront + trework
-                ),
-                computation_per_iteration=(
-                    ndiag * tdiag_work_list[i]
-                    + nfull * tfull_work_list[i]
-                    + nsweeps * stack_work_list[i]
-                    + nonwf_work
-                    + trework
-                ),
-                pipeline_fill=pipeline_fill,
-                stack_phase=stack_phase,
-                nonwavefront_phase=tnonwavefront,
-                rework=trework,
-            )
+    if faults is not None and faults.fails:
+        # Same operation order as iteration_prediction's base_time so the
+        # guard and correction agree with the scalar model.
+        base_time = pipeline_fill + stack_phase + nonwf_work + nonwf_comm
+        for i, value in enumerate(base_time.tolist()):
+            rework_guard(faults, value)
+            trework[i] = expected_rework_us(faults, value)
+    time_per_iteration = pipeline_fill + stack_phase + tnonwavefront + trework
+    computation = (
+        ndiag * tdiag_work
+        + nfull * tfull_work
+        + nsweeps * stack_work
+        + nonwf_work
+        + trework
+    )
+    return list(
+        map(
+            PointValues,
+            time_per_iteration.tolist(),
+            computation.tolist(),
+            pipeline_fill.tolist(),
+            stack_phase.tolist(),
+            tnonwavefront.tolist(),
+            trework.tolist(),
         )
-    return points
+    )
 
 
 def _fill_corners(
@@ -772,63 +553,49 @@ def _fill_corners(
     mapping: CoreMapping,
     multicore: bool,
     configs: Sequence[_Config],
-    w_list, wpre_list, ew_list, ns_list, n_list, m_list,
-) -> Tuple[List[float], List[float]]:
-    """``(StartP(1, m), StartP(n, m))`` lists for one group (fast method)."""
+    w, wpre, ew, ns, n_list, m_list,
+):
+    """``(StartP(1, m), StartP(n, m))`` arrays for one group (fast method)."""
     if not multicore:
-        w, wpre = _vector(w_list), _vector(wpre_list)
-        table, _cx, _cy = _v_fill_table(
-            platform, mapping, False, _vector(ew_list), _vector(ns_list)
-        )
-        tdiag, tfull = _v_startp_homogeneous(
-            n_list, m_list, w, wpre, table[0][0]
-        )
-        return _tolist(tdiag), _tolist(tfull)
+        table, _cx, _cy = _v_fill_table(platform, mapping, False, ew, ns)
+        return _v_startp_homogeneous(n_list, m_list, w, wpre, table[0][0])
 
-    tdiag_list = [0.0] * len(configs)
-    tfull_list = [0.0] * len(configs)
+    tdiag = _np.empty(len(configs))
+    tfull = _np.empty(len(configs))
     shapes: Dict[Tuple[int, int], List[int]] = {}
-    for i, (n, m) in enumerate(zip(n_list, m_list)):
-        shapes.setdefault((n, m), []).append(i)
+    for i, shape in enumerate(zip(n_list, m_list)):
+        shapes.setdefault(shape, []).append(i)
     for (n, m), indices in shapes.items():
-        w = _vector([w_list[i] for i in indices])
-        wpre = _vector([wpre_list[i] for i in indices])
-        table, cx, cy = _v_fill_table(
-            platform,
-            mapping,
-            True,
-            _vector([ew_list[i] for i in indices]),
-            _vector([ns_list[i] for i in indices]),
-        )
-        folded = _v_startp_periodic(n, m, w, wpre, table, cx, cy)
+        rows = _np.asarray(indices)
+        table, cx, cy = _v_fill_table(platform, mapping, True, ew[rows], ns[rows])
+        folded = _v_startp_periodic(n, m, w[rows], wpre[rows], table, cx, cy)
         if folded is None:
-            tdiag, tfull = _v_startp_exact(n, m, w, wpre, table, cx, cy)
-            ok = [True] * len(indices)
-        else:
-            tdiag, tfull, ok = folded
-        tdiag_values, tfull_values = _tolist(tdiag), _tolist(tfull)
-        for local, index in enumerate(indices):
-            if ok[local]:
-                tdiag_list[index] = tdiag_values[local]
-                tfull_list[index] = tfull_values[local]
-            else:
-                # Rare: this point's fold linearity check failed; use the
-                # scalar exact walk exactly as the scalar fast path would.
-                spec, _platform, grid, _mapping = configs[index]
-                scalar_table, _ = _fill_cost_table(spec, platform, grid, mapping)
-                tdiag_list[index], tfull_list[index] = _startp_exact(
-                    n, m, w_list[index], wpre_list[index], scalar_table, cx, cy
-                )
-    return tdiag_list, tfull_list
+            corners = _v_startp_cells(
+                n, m, w[rows], wpre[rows], table, cx, cy, [(1, m), (n, m)]
+            )
+            tdiag[rows], tfull[rows] = corners[(1, m)], corners[(n, m)]
+            continue
+        tdiag[rows], tfull[rows], bad = folded
+        for index in rows[bad].tolist():
+            # Rare: this point's fold linearity check failed; use the
+            # scalar exact walk exactly as the scalar fast path would.
+            spec, _platform, grid, _mapping = configs[index]
+            scalar_table, _ = _fill_cost_table(spec, platform, grid, mapping)
+            tdiag[index], tfull[index] = _startp_exact(
+                n, m, float(w[index]), float(wpre[index]), scalar_table, cx, cy
+            )
+    return tdiag, tfull
 
 
 def _stack_times(
     platform: Platform,
     mapping: CoreMapping,
-    specs, grids, w_list, wpre_list, ew_list, ns_list,
-) -> Tuple[List[float], List[float]]:
-    """Vectorized equation (r4): ``(Tstack, stack work)`` lists for a group."""
-    ew, ns = _vector(ew_list), _vector(ns_list)
+    tiles, w, wpre, ew, ns,
+):
+    """Vectorized equation (r4): ``(Tstack, stack work)`` arrays for a group.
+
+    ``tiles`` is the per-point stack depth ``Nz / Htile``.
+    """
     receive_west = _v_receive_off(platform.off_node, ew)
     receive_north = _v_receive_off(platform.off_node, ns)
     send_east = _v_send_off(platform.off_node, ew)
@@ -850,25 +617,20 @@ def _stack_times(
             + multiplier * i_ns
         )
     per_tile_comm = receive_west + receive_north + send_east + send_south + contention
-    w, wpre = _vector(w_list), _vector(wpre_list)
-    tiles = _vector([spec.tiles_per_stack() for spec in specs])
     per_tile = per_tile_comm + w + wpre
     total = per_tile * tiles - wpre
     work = (w + wpre) * tiles - wpre
-    return _tolist(total), _tolist(work)
+    return total, work
 
 
-def _nonwavefront_components(
-    platform: Platform, specs, grids
-) -> Tuple[List[float], List[float]]:
-    """``(work, comm)`` of the non-wavefront term for every point of a group.
+def _nonwavefront_components(platform: Platform, specs, grids):
+    """``(work, comm)`` arrays of the non-wavefront term over a group.
 
     All-reduce models vectorize (equation (9)); stencil and custom models
     fall back to their own scalar ``evaluate_components``.
     """
-    size = len(specs)
-    work_list = [0.0] * size
-    comm_list = [0.0] * size
+    work = _np.zeros(len(specs))
+    comm = _np.zeros(len(specs))
     allreduce_indices = []
     for i, spec in enumerate(specs):
         model = spec.nonwavefront
@@ -877,18 +639,14 @@ def _nonwavefront_components(
         if type(model) is AllReduceNonWavefront:
             allreduce_indices.append(i)
         else:
-            work_list[i], comm_list[i] = model.evaluate_components(
-                platform, spec, grids[i]
-            )
+            work[i], comm[i] = model.evaluate_components(platform, spec, grids[i])
     if allreduce_indices:
         cores = [grids[i].total_processors for i in allreduce_indices]
-        payload = _vector(
-            [float(specs[i].nonwavefront.payload_bytes) for i in allreduce_indices]
+        payload = _np.asarray(
+            [specs[i].nonwavefront.payload_bytes for i in allreduce_indices], dtype=float
         )
-        counts = _vector(
-            [float(specs[i].nonwavefront.count) for i in allreduce_indices]
+        counts = _np.asarray(
+            [specs[i].nonwavefront.count for i in allreduce_indices], dtype=float
         )
-        comm_values = _tolist(counts * _v_allreduce(platform, cores, payload))
-        for local, index in enumerate(allreduce_indices):
-            comm_list[index] = comm_values[local]
-    return work_list, comm_list
+        comm[allreduce_indices] = counts * _v_allreduce(platform, cores, payload)
+    return work, comm

@@ -215,6 +215,18 @@ class TestPredictMany:
             assert rel / s.time_per_iteration_us < 0.05
 
 
+def _unhashable_copy(spec):
+    """``spec`` as an instance of an unhashable subclass of its type."""
+    from dataclasses import fields
+
+    class _UnhashableSpec(type(spec)):
+        __hash__ = None
+
+    return _UnhashableSpec(
+        **{f.name: getattr(spec, f.name) for f in fields(spec) if f.init}
+    )
+
+
 class _CountingBatchBackend:
     """Batch-protocol implementation recording what the service hands it."""
 
@@ -282,28 +294,22 @@ class TestBatchProtocol:
             r.time_per_iteration_us for r in batched
         ]
 
-    def test_short_batch_result_is_an_error(self, spec, xt4_single):
+    @pytest.mark.parametrize("hashable", [True, False], ids=["hashable", "unhashable"])
+    def test_short_batch_result_is_an_error(self, spec, xt4_single, hashable):
         class _Broken(_CountingBatchBackend):
             def evaluate_batch(self, resolved):
                 return super().evaluate_batch(resolved)[:-1]
 
+        if not hashable:
+            spec = _unhashable_copy(spec)
         requests = [
             PredictionRequest(spec, xt4_single, total_cores=c) for c in (4, 16)
         ]
         with pytest.raises(ValueError, match="batch of"):
             predict_many(requests, backend=_Broken())
 
-    def test_unhashable_specs_skip_dedup(self, xt4_single):
-        from dataclasses import fields
-
-        base = chimaera(ProblemSize(32, 32, 16), iterations=1)
-
-        class _UnhashableSpec(type(base)):
-            __hash__ = None
-
-        unhashable = _UnhashableSpec(
-            **{f.name: getattr(base, f.name) for f in fields(base) if f.init}
-        )
+    def test_unhashable_specs_skip_dedup(self, spec, xt4_single):
+        unhashable = _unhashable_copy(spec)
         backend = _CountingBatchBackend()
         requests = [
             PredictionRequest(unhashable, xt4_single, total_cores=16),

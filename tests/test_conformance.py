@@ -7,8 +7,8 @@ Three families of contracts over the registered prediction backends:
   including heterogeneous scenario platforms;
 * **vec = fast**: the vectorized batch backend (``analytic-vec``)
   reproduces the scalar fast path to 1e-9 relative on the same matrix and
-  scenario platforms - on the numpy path *and* on the pure-stdlib
-  fallback (``model_vec._np = None``);
+  scenario platforms, bit-identically on the inputs that take a per-point
+  scalar step, and without numpy (``model_vec._np = None``);
 * **analytic vs simulator**: on the noise-free homogeneous matrix the
   analytic model stays within a pinned tolerance of the discrete-event
   "measurement" (the paper's <5%/<10% validation claim, with head-room for
@@ -35,15 +35,20 @@ Plus two cross-cutting families:
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
+
 import pytest
 
+from repro.apps.base import NoNonWavefront
 from repro.apps.workloads import standard_workloads
 from repro.backends.registry import available_backends
 from repro.backends.service import predict_one
 from repro.backends.simulator import simulation_cache_info
 from repro.core.comm import CommunicationCosts
+from repro.core.decomposition import CoreMapping, ProcessorGrid
 from repro.core.faults import FaultModel
 from repro.core.hetero import NoNoise, SampledNoise, SlowdownWindow, SpeedProfile
+from repro.core.loggp import Platform
 from repro.core.predictor import (
     clear_prediction_cache,
     prediction_cache_info,
@@ -68,6 +73,30 @@ MATRIX = [
     for platform_name in PLATFORMS
     for cores in CORE_COUNTS
 ]
+
+
+class _UnhashablePlatform(Platform):
+    """A platform subclass that cannot key a memo or a batch group."""
+
+    __hash__ = None  # type: ignore[assignment]
+
+    @classmethod
+    def of(cls, platform: Platform) -> "_UnhashablePlatform":
+        return cls(**{f.name: getattr(platform, f.name) for f in fields(platform) if f.init})
+
+
+class _StaggeredMapping(CoreMapping):
+    """A brick layout: every row's node boundaries shift one core east.
+
+    The east-west hop levels then depend on ``i + j``, not on ``i`` alone,
+    so on some grids the period fold's linearity check fails.
+    """
+
+    def send_east_level(self, i: int, j: int) -> str:
+        return super().send_east_level(i + j - 1, j)
+
+    def comm_from_west_level(self, i: int, j: int) -> str:
+        return super().comm_from_west_level(i + j - 1, j)
 
 
 def _spec(app: str):
@@ -129,7 +158,7 @@ class TestFastEqualsExact:
 
 
 class TestVecEqualsFast:
-    """``analytic-vec`` reproduces the scalar fast path (both vector paths)."""
+    """``analytic-vec`` reproduces the scalar fast path."""
 
     @pytest.mark.parametrize("entry", MATRIX, ids=_matrix_id)
     def test_homogeneous_matrix(self, entry):
@@ -183,57 +212,62 @@ class TestVecEqualsFast:
                 fast.time_per_iteration_us, rel=1e-9
             )
 
-    def test_pure_stdlib_fallback_matches(self, monkeypatch, caplog):
-        """Without numpy the fallback vectors produce the same numbers,
-        and the backend warns exactly once about the slower path."""
-        import logging
-
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda: (
+                _spec("chimaera-240"),
+                _UnhashablePlatform.of(cray_xt4()),
+                {"total_cores": 64},
+            ),
+            lambda: (
+                replace(_spec("chimaera-240"), nonwavefront=NoNonWavefront()),
+                cray_xt4(),
+                {"total_cores": 64},
+            ),
+            lambda: (
+                _spec("chimaera-240"),
+                cray_xt4(cores_per_node=4),
+                {"grid": ProcessorGrid(26, 64), "core_mapping": _StaggeredMapping(2, 2)},
+            ),
+        ],
+        ids=["unhashable-platform", "no-nonwavefront", "fold-linearity-fails"],
+    )
+    def test_scalar_fallbacks_are_bit_identical(self, case, monkeypatch):
+        """Inputs that leave the array path for a per-point scalar step."""
         from repro.core import model_vec
 
-        platform = cray_xt4_quad_chip()
-        reference = predict_one(
-            _spec("chimaera-240"), platform, total_cores=64, backend="analytic-fast"
+        exact_walks = []
+        scalar_exact = model_vec._startp_exact
+        monkeypatch.setattr(
+            model_vec,
+            "_startp_exact",
+            lambda *args: exact_walks.append(args) or scalar_exact(*args),
         )
-        clear_prediction_cache()
-        monkeypatch.setattr(model_vec, "_np", None)
-        assert not model_vec.have_numpy()
-        with caplog.at_level(logging.WARNING, logger="repro.core.model_vec"):
-            result = predict_one(
-                _spec("chimaera-240"), platform, total_cores=64, backend="analytic-vec"
-            )
-            again = predict_one(
-                _spec("chimaera-240"), platform, total_cores=16, backend="analytic-vec"
-            )
-        assert result.time_per_iteration_us == reference.time_per_iteration_us
-        assert again.time_per_iteration_us > 0.0
-        fallback_warnings = [
-            record for record in caplog.records if "stdlib fallback" in record.message
-        ]
-        assert len(fallback_warnings) == 1, "the fallback warning fires once"
-        # Back on the numpy path nothing changes (and the memo was bypassed:
-        # the monkeypatched run serves fresh evaluations after the clear).
-        clear_prediction_cache()
+        spec, platform, where = case()
+        fast = predict_one(spec, platform, backend="analytic-fast", **where)
+        vec = predict_one(spec, platform, backend="analytic-vec", **where)
+        assert vec.time_per_iteration_us == fast.time_per_iteration_us
+        assert vec.computation_per_iteration_us == fast.computation_per_iteration_us
+        assert vec.phases == fast.phases
+        # Only the staggered mapping fails the fold linearity check.
+        assert len(exact_walks) == ("core_mapping" in where)
 
-    def test_fallback_warning_resets_with_the_caches(self, monkeypatch, caplog):
-        import logging
-
+    def test_without_numpy_matches_fast(self, monkeypatch):
+        """Without numpy every point is priced on the scalar fast path."""
         from repro.core import model_vec
 
         monkeypatch.setattr(model_vec, "_np", None)
-        clear_prediction_cache()
-        with caplog.at_level(logging.WARNING, logger="repro.core.model_vec"):
-            predict_one(
-                _spec("lu-classA"), cray_xt4(), total_cores=16, backend="analytic-vec"
+        for platform, cores in ((cray_xt4_quad_chip(), 64), (cray_xt4(), 16)):
+            fast = predict_one(
+                _spec("chimaera-240"), platform, total_cores=cores, backend="analytic-fast"
             )
-            clear_prediction_cache()  # also resets the once-only warning latch
-            predict_one(
-                _spec("lu-classA"), cray_xt4(), total_cores=16, backend="analytic-vec"
+            vec = predict_one(
+                _spec("chimaera-240"), platform, total_cores=cores, backend="analytic-vec"
             )
-        fallback_warnings = [
-            record for record in caplog.records if "stdlib fallback" in record.message
-        ]
-        assert len(fallback_warnings) == 2
-        clear_prediction_cache()
+            assert vec.time_per_iteration_us == fast.time_per_iteration_us
+            assert vec.computation_per_iteration_us == fast.computation_per_iteration_us
+            assert vec.phases == fast.phases
 
 
 class TestAnalyticVsSimulator:
@@ -483,8 +517,7 @@ class TestCacheInvalidationContract:
         assert info_after.misses == info_before.misses + 1
 
     def test_clears_vec_and_resolution_memos(self):
-        """The vec batch memo and the resolution memos joined the registry."""
-        from repro.backends.vectorized import _BATCH_MEMO
+        """The resolution memos the vec path fills joined the registry."""
         from repro.core.decomposition import _decompose_cached
         from repro.core.multicore import _resolve_core_mapping_cached
 
@@ -492,13 +525,11 @@ class TestCacheInvalidationContract:
         predict_one(
             _spec("chimaera-240"), platform, total_cores=16, backend="analytic-vec"
         )
-        assert len(_BATCH_MEMO) > 0
         assert _decompose_cached.cache_info().currsize > 0
         assert _resolve_core_mapping_cached.cache_info().currsize > 0
 
         clear_prediction_cache()
 
-        assert len(_BATCH_MEMO) == 0
         assert _decompose_cached.cache_info().currsize == 0
         assert _resolve_core_mapping_cached.cache_info().currsize == 0
 
